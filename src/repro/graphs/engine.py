@@ -21,6 +21,12 @@ the store's integer-interned indexes:
   is small also carry a trimmed DFA (dead states marked); the product
   BFS and the simple-path/trail DFS then track a single int per
   automaton component and prune dead prefixes.
+* **One product-BFS kernel per plan shape** — per (plan, store
+  version) the resolved steps are compiled once into a closure: a fold
+  through one adjacency map per hop for linear chains, one topological
+  sweep for other acyclic DFA plans, a frontier grouped per state for
+  cyclic DFA plans and per gained state set for NFA-only plans.  These
+  closures are the only walk path.
 * **Alphabet restriction** — at evaluation time the plan keeps only the
   atoms whose predicate actually occurs in the store, resolved straight
   to the store's per-predicate integer adjacency dicts; all-pairs
@@ -66,24 +72,6 @@ _DFA_STATE_LIMIT = 24
 _DFA_BLOWUP_LIMIT = 512
 #: Bound on the per-plan (label, state-set) -> state-set step memo.
 _STEP_MEMO_LIMIT = 8192
-
-#: Whether plans compile specialized step closures (see
-#: :func:`configure_specialization`); on by default, switchable so the
-#: benchmark can measure generic vs specialized dispatch in one process.
-_specialization_enabled = True
-
-
-def configure_specialization(enabled: bool) -> None:
-    """Toggle the per-plan specialized step closures.
-
-    With specialization off every evaluation uses the generic automaton
-    dispatch (label lookups against the transition tables per frontier
-    item).  The already-built closures stay cached on their plans and
-    are simply bypassed, so flipping the switch is free in both
-    directions."""
-    global _specialization_enabled
-    _specialization_enabled = bool(enabled)
-
 
 def ast_key(expr: Regex) -> Tuple:
     """A stable structural key for an expression.
@@ -134,10 +122,10 @@ def _specialize_dfa_rows(
     table: List[Dict[str, int]], finals_mask: int, steps: List[_Step]
 ) -> Tuple:
     """Per-DFA-state step rows: for each state, the usable
-    ``(adjacency, next state, accepting)`` tuples.  The generic product
-    BFS re-answers "which steps apply in this state and where do they
-    go" with a label lookup per (frontier item, step); here that is
-    answered once per plan/store pair."""
+    ``(adjacency, next state, accepting)`` tuples, so "which steps
+    apply in this state and where do they go" is answered once per
+    plan/store pair instead of with a label lookup per (frontier item,
+    step)."""
     rows = []
     for row in table:
         entries = []
@@ -206,7 +194,8 @@ def _make_dfa_dag_bfs(rows: Tuple, finals_mask: int):
     single C-speed ``set.update(neighbours)`` per source-state node
     instead of a Python-level visited check per neighbour.  The
     node-sets computed this way are exactly the visited-(node, state)
-    relation of the generic BFS, so the hit set is identical (state 0
+    relation of a level-by-level product BFS, so the hit set is the
+    reference's (state 0
     is unreachable by edges in a DAG, so the seed never leaks into the
     answer)."""
     num_states = len(rows)
@@ -292,9 +281,9 @@ def _make_dfa_bfs(rows: Tuple):
     rather than held as (node, state) tuples: step dispatch, the target
     visited-set, and the accepting flag hoist out of the per-node loop,
     and visitedness is one set membership per (node, state) instead of
-    bitmask dict arithmetic.  Visit order differs from the generic BFS
-    but the visited-(node, state) relation — and therefore the hit set —
-    is identical."""
+    bitmask dict arithmetic.  Visit order differs from a level-by-level
+    product BFS over (node, state) pairs, but the visited relation — and
+    therefore the hit set — is identical."""
     num_states = len(rows)
 
     def bfs_hits(sid: int) -> Set[int]:
@@ -396,43 +385,66 @@ def _make_nfa_bfs(
     return bfs_hits
 
 
-class _SpecializedPlan:
-    """The specialized artifacts for one (plan, resolved steps) pair:
-    the product-BFS closure and the per-state propagation rows."""
+class _Resolved:
+    """One plan resolved against one (store, mutation version): the
+    alphabet-restricted steps, the product-BFS closure chosen by plan
+    shape, and (cyclic plans only) the per-state rows of the all-pairs
+    propagation."""
 
-    __slots__ = ("bfs_hits", "prop_rows")
+    __slots__ = ("store_ref", "version", "steps", "bfs_hits", "prop_rows")
 
-    def __init__(self, plan: "CompiledRPQ", steps: List[_Step]):
+    def __init__(self, plan: "CompiledRPQ", store: TripleStore):
+        self.store_ref = weakref.ref(store)
+        self.version = store.version
+        # the alphabet restriction: atoms whose predicate exists in the
+        # store, resolved to (label, delta table, adjacency, pid, inverse)
+        steps: List[_Step] = []
+        for label in plan.atoms:
+            inverse = label.startswith("^")
+            pid = store.predicate_id(label[1:] if inverse else label)
+            if pid is None:
+                continue
+            if inverse:
+                adjacency = store.backward_adjacency(pid)
+            else:
+                adjacency = store.forward_adjacency(pid)
+            if adjacency:
+                steps.append(
+                    (label, plan.deltas[label], adjacency, pid, inverse)
+                )
+        self.steps = steps
+        self.prop_rows: Tuple = ()
         if plan.dfa_table is not None:
             rows = _specialize_dfa_rows(
                 plan.dfa_table, plan.dfa_finals_mask, steps
             )
             if plan.cyclic:
                 self.bfs_hits = _make_dfa_bfs(rows)
+                self.prop_rows = tuple(
+                    tuple(
+                        (adjacency, (row[label],))
+                        for label, _delta, adjacency, _pid, _inv in steps
+                        if label in row
+                    )
+                    for row in plan.dfa_table
+                )
             else:
                 self.bfs_hits = _make_dfa_dag_bfs(
                     rows, plan.dfa_finals_mask
                 )
-            self.prop_rows = tuple(
-                tuple(
-                    (adjacency, (row[label],))
-                    for label, _delta, adjacency, _pid, _inv in steps
-                    if label in row
-                )
-                for row in plan.dfa_table
-            )
         else:
             self.bfs_hits = _make_nfa_bfs(
                 steps, plan.start_mask, plan.finals_mask, plan._step_memo
             )
-            self.prop_rows = tuple(
-                tuple(
-                    (adjacency, tuple(_iter_bits(delta[q])))
-                    for _label, delta, adjacency, _pid, _inv in steps
-                    if delta[q]
+            if plan.cyclic:
+                self.prop_rows = tuple(
+                    tuple(
+                        (adjacency, tuple(_iter_bits(delta[q])))
+                        for _label, delta, adjacency, _pid, _inv in steps
+                        if delta[q]
+                    )
+                    for q in range(plan.num_states)
                 )
-                for q in range(plan.num_states)
-            )
 
 
 class CompiledRPQ:
@@ -451,8 +463,7 @@ class CompiledRPQ:
         "dfa_finals_mask",
         "cyclic",
         "_step_memo",
-        "_atoms_cache",
-        "_special_cache",
+        "_resolved",
     )
 
     def __init__(self, expr: Regex):
@@ -485,8 +496,7 @@ class CompiledRPQ:
             self._try_determinize()
         self.cyclic = self._has_productive_cycle()
         self._step_memo: Dict[Tuple[str, int], int] = {}
-        self._atoms_cache: Opt[Tuple] = None
-        self._special_cache: Opt[Tuple[List[_Step], _SpecializedPlan]] = None
+        self._resolved: Opt[_Resolved] = None
 
     # -- compilation -------------------------------------------------------------
 
@@ -581,37 +591,20 @@ class CompiledRPQ:
 
     # -- store-side resolution --------------------------------------------------
 
-    def _resolve_atoms(self, store: TripleStore) -> List[_Step]:
-        """The alphabet restriction: atoms whose predicate exists in the
-        store, resolved to (label, delta table, adjacency, pid, inverse).
+    def _resolve(self, store: TripleStore) -> _Resolved:
+        """The plan resolved against ``store``: steps, closure and
+        propagation rows.
 
         Memoized per (store, mutation version) — on repeated-expression
         workloads every query after the first skips the resolution."""
-        cached = self._atoms_cache
-        if cached is not None:
-            store_ref, version, steps = cached
-            if store_ref() is store and version == store.version:
-                return steps
-        steps = []
-        for label in self.atoms:
-            if label.startswith("^"):
-                pid = store.predicate_id(label[1:])
-                if pid is None:
-                    continue
-                adjacency = store.backward_adjacency(pid)
-                inverse = True
-            else:
-                pid = store.predicate_id(label)
-                if pid is None:
-                    continue
-                adjacency = store.forward_adjacency(pid)
-                inverse = False
-            if adjacency:
-                steps.append(
-                    (label, self.deltas[label], adjacency, pid, inverse)
-                )
-        self._atoms_cache = (weakref.ref(store), store.version, steps)
-        return steps
+        resolved = self._resolved
+        if (
+            resolved is None
+            or resolved.store_ref() is not store
+            or resolved.version != store.version
+        ):
+            resolved = self._resolved = _Resolved(self, store)
+        return resolved
 
     def _step_mask(self, label: str, delta: List[int], mask: int) -> int:
         """Memoized (state set, label) -> state set transition."""
@@ -642,106 +635,23 @@ class CompiledRPQ:
         language; identical to the reference product BFS.  ``targets``
         filters the answers, never the exploration."""
         target_filter = set(targets) if targets is not None else None
-        steps = self._resolve_atoms(store)
+        resolved = self._resolve(store)
         if sources is not None:
-            return self._evaluate_sources(store, sources, steps, target_filter)
-        return self._evaluate_all_pairs(store, steps, target_filter)
-
-    def _specialized(self, steps: List[_Step]) -> _SpecializedPlan:
-        """The specialized closures for ``steps``, built once per
-        (store, mutation version): the ``steps`` list object itself is
-        the :meth:`_resolve_atoms` memo value, so identity is the
-        freshness check (holding it here also pins it against reuse)."""
-        cached = self._special_cache
-        if cached is not None and cached[0] is steps:
-            return cached[1]
-        special = _SpecializedPlan(self, steps)
-        self._special_cache = (steps, special)
-        return special
-
-    def _bfs_hits(self, sid: int, steps: List[_Step]) -> Set[int]:
-        """Node ids that reach a final state by a non-empty walk from
-        ``sid`` (the trivial empty-walk answer is the caller's job)."""
-        if _specialization_enabled:
-            return self._specialized(steps).bfs_hits(sid)
-        if self.dfa_table is not None:
-            return self._bfs_hits_dfa(sid, steps)
-        return self._bfs_hits_nfa(sid, steps)
-
-    def _bfs_hits_dfa(self, sid: int, steps: List[_Step]) -> Set[int]:
-        table = self.dfa_table
-        finals_mask = self.dfa_finals_mask
-        reached: Dict[int, int] = {sid: 1}  # node id -> mask of DFA states
-        frontier: List[Tuple[int, int]] = [(sid, 0)]
-        hits: Set[int] = set()
-        while frontier:
-            advanced: List[Tuple[int, int]] = []
-            for nid, state in frontier:
-                row = table[state]
-                if not row:
-                    continue
-                for label, _delta, adjacency, _pid, _inv in steps:
-                    nxt = row.get(label)
-                    if nxt is None:
-                        continue
-                    neighbours = adjacency.get(nid)
-                    if not neighbours:
-                        continue
-                    bit = 1 << nxt
-                    accepting = finals_mask & bit
-                    for other in neighbours:
-                        seen = reached.get(other, 0)
-                        if seen & bit:
-                            continue
-                        reached[other] = seen | bit
-                        advanced.append((other, nxt))
-                        if accepting:
-                            hits.add(other)
-            frontier = advanced
-        return hits
-
-    def _bfs_hits_nfa(self, sid: int, steps: List[_Step]) -> Set[int]:
-        finals = self.finals_mask
-        reached: Dict[int, int] = {sid: self.start_mask}
-        frontier: List[Tuple[int, int]] = [(sid, self.start_mask)]
-        hits: Set[int] = set()
-        step_mask = self._step_mask
-        while frontier:
-            advanced: List[Tuple[int, int]] = []
-            for nid, new_mask in frontier:
-                for label, delta, adjacency, _pid, _inv in steps:
-                    targets_mask = step_mask(label, delta, new_mask)
-                    if not targets_mask:
-                        continue
-                    neighbours = adjacency.get(nid)
-                    if not neighbours:
-                        continue
-                    for other in neighbours:
-                        old = reached.get(other, 0)
-                        gained = targets_mask & ~old
-                        if gained:
-                            reached[other] = old | gained
-                            advanced.append((other, gained))
-                            if gained & finals:
-                                hits.add(other)
-            frontier = advanced
-        return hits
+            return self._evaluate_sources(
+                store, sources, resolved.bfs_hits, target_filter
+            )
+        return self._evaluate_all_pairs(store, resolved, target_filter)
 
     def _evaluate_sources(
         self,
         store: TripleStore,
         sources: Iterable[str],
-        steps: List[_Step],
+        bfs_hits,
         target_filter: Opt[Set[str]],
     ) -> Set[Tuple[str, str]]:
-        """One bitmask BFS per requested source node."""
+        """One product BFS per requested source node."""
         answers: Set[Tuple[str, str]] = set()
         names = store.node_names()
-        bfs_hits = (
-            self._specialized(steps).bfs_hits
-            if _specialization_enabled
-            else None
-        )
         for source in sources:
             if self.accepts_empty and (
                 target_filter is None or source in target_filter
@@ -750,12 +660,7 @@ class CompiledRPQ:
             sid = store.node_id(source)
             if sid is None:
                 continue  # node outside the graph: no walks at all
-            hits = (
-                bfs_hits(sid)
-                if bfs_hits is not None
-                else self._bfs_hits(sid, steps)
-            )
-            for nid in hits:
+            for nid in bfs_hits(sid):
                 name = names[nid]
                 if target_filter is None or name in target_filter:
                     answers.add((source, name))
@@ -789,7 +694,7 @@ class CompiledRPQ:
         merged per (token, node) so one call never emits duplicate keys;
         nodes this store has never seen contribute nothing.
         """
-        steps = self._resolve_atoms(store)
+        steps = self._resolve(store).steps
         if not steps or not entries:
             return []
         names = store.node_names()
@@ -817,7 +722,7 @@ class CompiledRPQ:
         """Node names with at least one usable first edge in this store
         — the shard-local contribution to the distributed all-pairs seed
         set (sorted, so shard outputs merge deterministically)."""
-        steps = self._resolve_atoms(store)
+        steps = self._resolve(store).steps
         if not steps:
             return []
         names = store.node_names()
@@ -848,7 +753,7 @@ class CompiledRPQ:
     def _evaluate_all_pairs(
         self,
         store: TripleStore,
-        steps: List[_Step],
+        resolved: _Resolved,
         target_filter: Opt[Set[str]],
     ) -> Set[Tuple[str, str]]:
         names = store.node_names()
@@ -857,39 +762,30 @@ class CompiledRPQ:
             for name in names:
                 if target_filter is None or name in target_filter:
                     answers.add((name, name))
-        if not steps:
+        if not resolved.steps:
             return answers
-        productive = self._productive_source_ids(steps)
+        productive = self._productive_source_ids(resolved.steps)
         if not productive:
             return answers
         if self.cyclic:
             self._all_pairs_propagate(
-                names, productive, steps, target_filter, answers
+                names, productive, resolved.prop_rows, target_filter, answers
             )
-        else:
-            bfs_hits = (
-                self._specialized(steps).bfs_hits
-                if _specialization_enabled
-                else None
-            )
-            for sid in productive:
-                source = names[sid]
-                hits = (
-                    bfs_hits(sid)
-                    if bfs_hits is not None
-                    else self._bfs_hits(sid, steps)
-                )
-                for nid in hits:
-                    name = names[nid]
-                    if target_filter is None or name in target_filter:
-                        answers.add((source, name))
+            return answers
+        bfs_hits = resolved.bfs_hits
+        for sid in productive:
+            source = names[sid]
+            for nid in bfs_hits(sid):
+                name = names[nid]
+                if target_filter is None or name in target_filter:
+                    answers.add((source, name))
         return answers
 
     def _all_pairs_propagate(
         self,
         names: List[str],
         productive: List[int],
-        steps: List[_Step],
+        rows: Tuple,
         target_filter: Opt[Set[str]],
         answers: Set[Tuple[str, str]],
     ) -> None:
@@ -897,24 +793,16 @@ class CompiledRPQ:
         graph: every (node, state) vertex carries the bitmask of
         (productive) source nodes that reach it, so the n per-source BFS
         runs of the reference collapse into one pass of word-wide
-        integer ORs."""
+        integer ORs.  ``rows[q]`` lists the (adjacency, target states)
+        pairs usable from state ``q``, decoded once per resolution."""
         if self.dfa_table is not None:
             num_states = len(self.dfa_table)
             start_states = [0]
             finals_mask = self.dfa_finals_mask
-
-            def transitions(q: int, label: str) -> int:
-                nxt = self.dfa_table[q].get(label)
-                return 0 if nxt is None else 1 << nxt
-
         else:
             num_states = self.num_states
             start_states = list(_iter_bits(self.start_mask))
             finals_mask = self.finals_mask
-
-            def transitions(q: int, label: str) -> int:
-                return self.deltas[label][q]
-
         # masks[nid * num_states + q] = bitmask over *compacted* source
         # indexes (bit i  <->  productive[i]) reaching (nid, q)
         masks: Dict[int, int] = {}
@@ -927,67 +815,32 @@ class CompiledRPQ:
                 masks[key] = masks.get(key, 0) | bit
                 pending[key] = pending.get(key, 0) | bit
                 queue.append(key)
-        if _specialization_enabled:
-            # same propagation with the per-state (adjacency, decoded
-            # target states) rows precomputed — no label dispatch and no
-            # bitmask decoding per dequeued vertex
-            rows = self._specialized(steps).prop_rows
-            masks_get = masks.get
-            pending_pop = pending.pop
-            queue_append = queue.append
-            while queue:
-                key = queue.popleft()
-                delta_sources = pending_pop(key, 0)
-                if not delta_sources:
+        masks_get = masks.get
+        pending_pop = pending.pop
+        queue_append = queue.append
+        while queue:
+            key = queue.popleft()
+            delta_sources = pending_pop(key, 0)
+            if not delta_sources:
+                continue
+            nid, q = divmod(key, num_states)
+            for adjacency, targets in rows[q]:
+                neighbours = adjacency.get(nid)
+                if not neighbours:
                     continue
-                nid, q = divmod(key, num_states)
-                for adjacency, targets in rows[q]:
-                    neighbours = adjacency.get(nid)
-                    if not neighbours:
-                        continue
-                    for other in neighbours:
-                        base = other * num_states
-                        for target in targets:
-                            other_key = base + target
-                            old = masks_get(other_key, 0)
-                            gained = delta_sources & ~old
-                            if gained:
-                                masks[other_key] = old | gained
-                                if other_key in pending:
-                                    pending[other_key] |= gained
-                                else:
-                                    pending[other_key] = gained
-                                    queue_append(other_key)
-        else:
-            while queue:
-                key = queue.popleft()
-                delta_sources = pending.pop(key, 0)
-                if not delta_sources:
-                    continue
-                nid, q = divmod(key, num_states)
-                for label, _delta, adjacency, _pid, _inv in steps:
-                    targets_mask = transitions(q, label)
-                    if not targets_mask:
-                        continue
-                    neighbours = adjacency.get(nid)
-                    if not neighbours:
-                        continue
-                    for other in neighbours:
-                        base = other * num_states
-                        rest = targets_mask
-                        while rest:
-                            low = rest & -rest
-                            other_key = base + low.bit_length() - 1
-                            rest ^= low
-                            old = masks.get(other_key, 0)
-                            gained = delta_sources & ~old
-                            if gained:
-                                masks[other_key] = old | gained
-                                if other_key in pending:
-                                    pending[other_key] |= gained
-                                else:
-                                    pending[other_key] = gained
-                                    queue.append(other_key)
+                for other in neighbours:
+                    base = other * num_states
+                    for target in targets:
+                        other_key = base + target
+                        old = masks_get(other_key, 0)
+                        gained = delta_sources & ~old
+                        if gained:
+                            masks[other_key] = old | gained
+                            if other_key in pending:
+                                pending[other_key] |= gained
+                            else:
+                                pending[other_key] = gained
+                                queue_append(other_key)
         # a seeded start vertex with a final state only occurs when the
         # language is nullable, and those (u, u) pairs were added above,
         # so reading the raw masks never invents an answer
@@ -1018,7 +871,7 @@ class CompiledRPQ:
         tid = store.node_id(target)
         if sid is None or tid is None:
             return False
-        steps = self._resolve_atoms(store)
+        steps = self._resolve(store).steps
         if not steps:
             return False
         if self.dfa_table is not None:

@@ -44,7 +44,7 @@ def _rpq_batch(
     ``store`` arrives attached-by-path when it is a mapped image (see
     :meth:`~repro.store.mmapstore.MappedTripleStore.__reduce__`), so
     repeated tasks in one worker share one mapping *and* one engine
-    specialization cache.
+    plan-resolution cache.
     """
     store, exprs, sources, targets = payload
     return [

@@ -19,11 +19,17 @@ one-or-more otherwise (as in ``a+``).  In the rare case you need
 ``(a+)b``.
 
 Epsilon can be written ``()`` or ``eps``; the empty language ``[]``.
+
+Nesting is bounded: an expression nesting more than
+:data:`MAX_NESTING_DEPTH` groups and stacked postfix operators is
+rejected with :class:`~repro.errors.RegexParseError`, well before the
+parser or the recursive passes over the AST (``ast_key``, ``glushkov``)
+would exhaust the interpreter stack.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple
+from typing import List, NamedTuple, Tuple
 
 from ..errors import RegexParseError
 from .ast import (
@@ -39,6 +45,13 @@ from .ast import (
 )
 
 _PUNCT_SYMBOLS = "#$%&@;:<>=~"
+
+#: The most groups plus stacked postfix operators any symbol may sit
+#: under.  Each unit costs the parser four frames and the AST at most
+#: two levels; unbounded, the parser and ``ast_key`` exhaust CPython's
+#: default recursion limit of 1000 near 250 units, so 100 leaves room
+#: for the caller's own frames.
+MAX_NESTING_DEPTH = 100
 
 
 class _Token(NamedTuple):
@@ -157,6 +170,16 @@ class _Parser:
         self.source = source
         self.index = 0
         self.union_plus = union_plus
+        #: groups open around the current position
+        self.open_groups = 0
+
+    def _check_depth(self, depth: int, token: _Token) -> None:
+        if depth > MAX_NESTING_DEPTH:
+            raise RegexParseError(
+                f"expression nests deeper than {MAX_NESTING_DEPTH} "
+                "groups and postfix operators",
+                position=token.pos,
+            )
 
     def peek(self, ahead: int = 0):
         pos = self.index + ahead
@@ -180,25 +203,29 @@ class _Parser:
     #          term := factor+
     #          factor := atom ('*'|'?'|postfix '+')*
     #          atom := SYM | '(' expr ')' | EPS | EMPTYLANG
+    #
+    # Each parse_* method returns (node, nesting depth): the most groups
+    # plus stacked postfix operators over any symbol of the node.
 
-    def parse_expr(self) -> Regex:
-        parts = [self.parse_term()]
+    def parse_expr(self) -> Tuple[Regex, int]:
+        node, depth = self.parse_term()
+        parts = [node]
         while True:
             token = self.peek()
             if token is None:
                 break
-            if token.kind == "PIPE":
+            if token.kind == "PIPE" or (
+                token.kind == "PLUS" and self._plus_is_union()
+            ):
                 self.advance()
-                parts.append(self.parse_term())
-                continue
-            if token.kind == "PLUS" and self._plus_is_union():
-                self.advance()
-                parts.append(self.parse_term())
+                node, sub = self.parse_term()
+                parts.append(node)
+                depth = max(depth, sub)
                 continue
             break
         if len(parts) == 1:
-            return parts[0]
-        return Union(tuple(parts))
+            return parts[0], depth
+        return Union(tuple(parts)), depth
 
     def _plus_is_union(self) -> bool:
         """A '+' token is union when followed by an expression start.
@@ -216,8 +243,9 @@ class _Parser:
             "EMPTYLANG",
         )
 
-    def parse_term(self) -> Regex:
-        parts = [self.parse_factor()]
+    def parse_term(self) -> Tuple[Regex, int]:
+        node, depth = self.parse_factor()
+        parts = [node]
         while True:
             token = self.peek()
             if token is None or token.kind in ("PIPE", "RPAREN"):
@@ -229,33 +257,35 @@ class _Parser:
                 raise RegexParseError(
                     "dangling postfix operator", position=token.pos
                 )
-            parts.append(self.parse_factor())
+            node, sub = self.parse_factor()
+            parts.append(node)
+            depth = max(depth, sub)
         if len(parts) == 1:
-            return parts[0]
-        return Concat(tuple(parts))
+            return parts[0], depth
+        return Concat(tuple(parts)), depth
 
-    def parse_factor(self) -> Regex:
-        node = self.parse_atom()
+    def parse_factor(self) -> Tuple[Regex, int]:
+        start = self.peek()
+        node, depth = self.parse_atom()
+        self._check_depth(depth, start)
         while True:
             token = self.peek()
             if token is None:
                 break
             if token.kind == "STAR":
-                self.advance()
                 node = Star(node)
-                continue
-            if token.kind == "QMARK":
-                self.advance()
+            elif token.kind == "QMARK":
                 node = Optional(node)
-                continue
-            if token.kind == "PLUS" and not self._plus_is_union():
-                self.advance()
+            elif token.kind == "PLUS" and not self._plus_is_union():
                 node = Plus(node)
-                continue
-            break
-        return node
+            else:
+                break
+            self.advance()
+            depth += 1
+            self._check_depth(depth, token)
+        return node, depth
 
-    def parse_atom(self) -> Regex:
+    def parse_atom(self) -> Tuple[Regex, int]:
         token = self.peek()
         if token is None:
             raise RegexParseError(
@@ -263,18 +293,22 @@ class _Parser:
             )
         if token.kind == "SYM":
             self.advance()
-            return Symbol(token.text)
+            return Symbol(token.text), 0
         if token.kind == "EPS":
             self.advance()
-            return EPSILON
+            return EPSILON, 0
         if token.kind == "EMPTYLANG":
             self.advance()
-            return EMPTY
+            return EMPTY, 0
         if token.kind == "LPAREN":
             self.advance()
-            inner = self.parse_expr()
+            # checked on entry too: the recursion below must stay bounded
+            self.open_groups += 1
+            self._check_depth(self.open_groups, token)
+            inner, depth = self.parse_expr()
             self.expect("RPAREN")
-            return inner
+            self.open_groups -= 1
+            return inner, depth + 1
         raise RegexParseError(
             f"unexpected token {token.text!r}", position=token.pos
         )
@@ -301,13 +335,14 @@ def parse(
     Raises
     ------
     RegexParseError
-        If the input is empty or malformed.
+        If the input is empty, malformed, or nests deeper than
+        :data:`MAX_NESTING_DEPTH`.
     """
     tokens = _tokenize(text, multi_char)
     if not tokens:
         raise RegexParseError("empty expression", position=0)
     parser = _Parser(tokens, text, union_plus=union_plus)
-    expr = parser.parse_expr()
+    expr, _depth = parser.parse_expr()
     if parser.index != len(tokens):
         leftover = parser.tokens[parser.index]
         raise RegexParseError(

@@ -17,8 +17,7 @@ closes the loop:
   :class:`~concurrent.futures.ProcessPoolExecutor`) attached to one
   shard image.  Workers attach via :func:`repro.store.mmapstore.attach`
   (per-process memoized), so each holds its shard's pages mapped once
-  and keeps its own compiled-plan and specialization caches across
-  requests.
+  and keeps its own compiled-plan caches across requests.
 * :class:`ShardGroup` is the coordinator: it routes whole queries to a
   single shard when every predicate of the expression lives there
   (consistent-hash routing, the fast path), and otherwise runs the RPQ
@@ -37,7 +36,7 @@ closes the loop:
   variable-predicate scans union per-predicate owner reads, so ``query``
   requests never fall back to a gathered union store.
 
-The exchange is *payload-aware and pipelined*:
+The exchange is *payload-aware* and runs in barrier rounds:
 
 * **Label pruning** (``label_prune=True``) — the coordinator attaches
   each shard image itself and consults the per-node label summary
@@ -49,15 +48,12 @@ The exchange is *payload-aware and pipelined*:
   are counted in ``pruned_entries``.  Images without a summary
   (format 1, or > 63 predicates) degrade gracefully to shard-level
   predicate pruning plus node-existence pruning.
-* **Pipelined rounds** (``pipelined=True``) — instead of a per-round
-  barrier, a completion-driven loop keeps one frontier-step call in
-  flight per shard: as each worker returns, its partial is merged and
-  the next level is dispatched immediately to idle shards while
-  stragglers drain.  The reached/newness bookkeeping stays coordinator-
-  owned; the reached table is a monotone join over bitmasks, so the
-  completion order cannot change the fixpoint and answers stay
-  deterministic (the equivalence tests pin pipelined == barrier ==
-  single-process).
+* **Barrier rounds** — each round scatters every shard's buffered
+  entries through :meth:`ShardGroup.scatter` (one in-flight call per
+  shard, with failover), gathers all partials, and merges them.  The
+  reached/newness bookkeeping is coordinator-owned and the reached
+  table is a monotone join over bitmasks, so answers equal the
+  single-process engine's.
 
 ``scatter_bytes`` / ``gather_bytes`` / ``rounds`` / ``pruned_entries``
 counters (estimated wire payload: token + name UTF-8 bytes plus a
@@ -92,7 +88,7 @@ import os
 import threading
 from bisect import bisect_right
 from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -345,7 +341,7 @@ def shard_store(
 # Module-level so they pickle by reference.  Every store-touching task
 # takes the image path and goes through attach() — memoized per process,
 # so after the first call the worker holds its shard mapped and every
-# compiled plan / specialization cache it builds persists across calls.
+# compiled plan and plan resolution it builds persists across calls.
 
 
 @lru_cache(maxsize=256)
@@ -468,7 +464,6 @@ class ShardGroup:
         target: Any,
         replicas: int = 1,
         *,
-        pipelined: bool = True,
         label_prune: bool = True,
         union_cache_entries: int = _UNION_CACHE_ENTRIES,
     ):
@@ -476,9 +471,6 @@ class ShardGroup:
             raise ValueError("every shard needs at least one attachment")
         self.manifest = ShardManifest.load(target)
         self.replicas = replicas
-        #: completion-driven frontier exchange (False: per-round barrier;
-        #: the answers are identical either way — equivalence-tested)
-        self.pipelined = pipelined
         #: label-pruned scatter (False: broadcast the frontier to every
         #: owner shard, the pre-pruning behaviour — kept for comparison
         #: benchmarks and equivalence tests)
@@ -566,7 +558,6 @@ class ShardGroup:
                 for attachments in self.workers
                 for worker in attachments
             ),
-            "pipelined": self.pipelined,
             "label_prune": self.label_prune,
             "scatter_bytes": self.scatter_bytes,
             "gather_bytes": self.gather_bytes,
@@ -583,12 +574,14 @@ class ShardGroup:
         rounds: int = 0,
         pruned: int = 0,
         entries: int = 0,
+        failovers: int = 0,
     ) -> None:
-        """Fold one walk's exchange accounting into the group counters
-        and, when mounted in a service core, the shared metrics
-        registry (walks run concurrently on scheduler threads, hence
-        the lock)."""
+        """Fold one walk's exchange accounting (or one failover) into
+        the group counters and, when mounted in a service core, the
+        shared metrics registry (walks run concurrently on scheduler
+        threads, hence the lock)."""
         with self._lock:
+            self.failovers += failovers
             self.scatter_bytes += scatter
             self.gather_bytes += gather
             self.rounds += rounds
@@ -641,7 +634,7 @@ class ShardGroup:
                 return worker.call(fn, *args)
             except BrokenProcessPool:
                 worker.broken = True
-                self.failovers += 1
+                self._account(failovers=1)
         primary = attachments[0]
         with self._lock:
             if primary.broken:
@@ -678,14 +671,14 @@ class ShardGroup:
         results: List[Any] = []
         for shard, fn, args, worker, future in submitted:
             if future is None:
-                self.failovers += 1
+                self._account(failovers=1)
                 results.append(self.call_shard(shard, fn, *args))
                 continue
             try:
                 results.append(future.result())
             except BrokenProcessPool:
                 worker.broken = True
-                self.failovers += 1
+                self._account(failovers=1)
                 results.append(self.call_shard(shard, fn, *args))
         if self.gather_hook is not None:
             self.gather_hook()
@@ -809,12 +802,9 @@ class ShardGroup:
 
         Scatter is label-pruned (an entry ships to a shard only when
         its mask has a pending transition the shard's labels — and,
-        with an image summary, the node's own labels — can serve) and
-        the rounds are pipelined (completion-driven re-dispatch per
-        shard) unless the group was built with those modes disabled.
-        Both axes change payload and overlap, never the answer set: the
-        reached table is a monotone bitmask join, so any completion
-        order converges to the same fixpoint.
+        with an image summary, the node's own labels — can serve)
+        unless the group was built with ``label_prune=False``.  Pruning
+        changes payload, never the answer set.
         """
         if sources is not None:
             seeds = sorted(set(sources))
@@ -934,14 +924,7 @@ class ShardGroup:
         for name in seeds:
             enqueue(name, name, start_mask)
         try:
-            if self.pipelined:
-                self._exchange_pipelined(
-                    expr_text, owners, pending, drain, merge_partial
-                )
-            else:
-                self._exchange_barrier(
-                    expr_text, owners, pending, drain, merge_partial
-                )
+            self._exchange_barrier(expr_text, owners, drain, merge_partial)
         finally:
             self._account(
                 scatter=stats["scatter"],
@@ -953,7 +936,7 @@ class ShardGroup:
         return answers
 
     def _exchange_barrier(
-        self, expr_text: str, owners: List[int], pending, drain, merge_partial
+        self, expr_text: str, owners: List[int], drain, merge_partial
     ) -> None:
         """Round-barrier exchange: scatter every non-empty buffer,
         gather all partials, merge, repeat."""
@@ -974,67 +957,6 @@ class ShardGroup:
                 return
             for partial in self.scatter(jobs):
                 merge_partial(partial)
-
-    def _exchange_pipelined(
-        self, expr_text: str, owners: List[int], pending, drain, merge_partial
-    ) -> None:
-        """Completion-driven exchange: at most one frontier-step call in
-        flight per shard (the workers are single-slot); each completion
-        merges immediately and idle shards re-dispatch while stragglers
-        drain.  A worker that dies mid-call fails over synchronously
-        through :meth:`call_shard` (which respawns as a last resort)."""
-        inflight: Dict[Any, Tuple[int, ShardWorker, List]] = {}
-
-        def fallback(shard: int, entries: List) -> None:
-            self.failovers += 1
-            merge_partial(
-                self.call_shard(
-                    shard,
-                    _task_frontier_step,
-                    self.workers[shard][0].image,
-                    expr_text,
-                    entries,
-                )
-            )
-
-        def dispatch(shard: int) -> None:
-            entries = drain(shard)
-            if entries is None:
-                return
-            worker = self._live_worker(shard)
-            try:
-                future = worker.submit(
-                    _task_frontier_step, worker.image, expr_text, entries
-                )
-            except (BrokenProcessPool, RuntimeError):
-                worker.broken = True
-                fallback(shard, entries)
-                return
-            inflight[future] = (shard, worker, entries)
-
-        while True:
-            busy = {shard for shard, _, _ in inflight.values()}
-            for shard in owners:
-                if shard not in busy:
-                    dispatch(shard)
-            if not inflight:
-                if any(pending[shard] for shard in owners):
-                    # every dispatch fell back synchronously (all
-                    # workers broken) and refilled buffers; keep going
-                    continue
-                return
-            done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
-            for future in done:
-                shard, worker, entries = inflight.pop(future)
-                try:
-                    partial = future.result()
-                except BrokenProcessPool:
-                    worker.broken = True
-                    fallback(shard, entries)
-                    continue
-                merge_partial(partial)
-            if self.gather_hook is not None:
-                self.gather_hook()
 
     # -- RPQ: simple-path / trail semantics --------------------------------------
 

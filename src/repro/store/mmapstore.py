@@ -406,7 +406,7 @@ def attach(path: PathLike) -> "MappedTripleStore":
     """Open ``path`` mapped, memoized per process.  This is the unpickle
     target of :meth:`MappedTripleStore.__reduce__`: every task a worker
     receives for the same image resolves to the same store object (and
-    therefore the same engine specialization caches)."""
+    therefore the same engine plan-resolution caches)."""
     key = os.path.abspath(str(path))
     store = _ATTACHED.get(key)
     if store is None:

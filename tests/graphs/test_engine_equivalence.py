@@ -11,7 +11,6 @@ from repro.graphs.engine import (
     clear_plan_cache,
     compile_rpq,
     configure_plan_cache,
-    configure_specialization,
     plan_cache_info,
 )
 from repro.graphs.generator import web_graph
@@ -179,29 +178,24 @@ class TestPlanCache:
 
 
 class TestSpecializedClosures:
-    """The per-plan specialized step closures must be answer-invisible:
-    toggling :func:`configure_specialization` never changes a result."""
+    """The per-plan product-BFS closures (one per plan shape) are the
+    engine's only walk path; they must answer exactly as the reference
+    evaluator, all-pairs and per source."""
 
-    def test_on_off_equivalence(self):
+    def test_closures_match_reference(self):
         rng = random.Random(21)
-        try:
-            for _trial in range(4):
-                store = labeled_powerlaw_store(rng, 35)
-                nodes = sorted(store.nodes())
-                sources = rng.sample(nodes, 6)
-                for text in WALK_EXPRS:
-                    expr = parse(text)
-                    configure_specialization(False)
-                    plain_all = evaluate_rpq(store, expr)
-                    plain_src = evaluate_rpq(store, expr, sources=sources)
-                    configure_specialization(True)
-                    assert evaluate_rpq(store, expr) == plain_all, text
-                    assert (
-                        evaluate_rpq(store, expr, sources=sources)
-                        == plain_src
-                    ), text
-        finally:
-            configure_specialization(True)
+        for _trial in range(4):
+            store = labeled_powerlaw_store(rng, 35)
+            nodes = sorted(store.nodes())
+            sources = rng.sample(nodes, 6)
+            for text in WALK_EXPRS:
+                expr = parse(text)
+                assert evaluate_rpq(store, expr) == evaluate_rpq_reference(
+                    store, expr
+                ), text
+                assert evaluate_rpq(
+                    store, expr, sources=sources
+                ) == evaluate_rpq_reference(store, expr, sources=sources), text
 
     def test_closure_selection(self):
         # chains fold through adjacency maps; other acyclic plans take
@@ -214,8 +208,7 @@ class TestSpecializedClosures:
             ("(ab)+", "_make_dfa_bfs"),
         ]:
             plan = compile_rpq(parse(text))
-            steps = plan._resolve_atoms(store)
-            closure = plan._specialized(steps).bfs_hits
+            closure = plan._resolve(store).bfs_hits
             assert variant in closure.__qualname__, (text, variant)
 
     def test_specialization_tracks_store_mutation(self):

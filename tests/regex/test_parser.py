@@ -13,7 +13,7 @@ from repro.regex.ast import (
     Symbol,
     Union,
 )
-from repro.regex.parser import parse
+from repro.regex.parser import MAX_NESTING_DEPTH, parse
 
 
 class TestAtoms:
@@ -165,3 +165,42 @@ class TestErrors:
         with pytest.raises(RegexParseError) as info:
             parse("a)")
         assert info.value.position == 1
+
+
+class TestNestingDepth:
+    """Groups and stacked postfix operators are bounded by
+    ``MAX_NESTING_DEPTH``; one past it is a typed parse error, never a
+    ``RecursionError``."""
+
+    SHAPES = {
+        "groups": lambda n: "(" * n + "a" + ")" * n,
+        "stars": lambda n: "a" + "*" * n,
+        "pluses": lambda n: "a" + "+" * n,
+        "interleaved": lambda n: "(" * (n // 2) + "a" + ")*" * (n // 2) + "?" * (n % 2),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_bound_parses_and_one_past_it_is_rejected(self, shape):
+        make = self.SHAPES[shape]
+        bound = MAX_NESTING_DEPTH
+        assert parse(make(bound), multi_char=True) is not None
+        with pytest.raises(RegexParseError, match="nests deeper"):
+            parse(make(bound + 1), multi_char=True)
+
+    def test_depth_counts_stacking_not_length(self):
+        # many siblings at depth 1 are fine; only nesting is bounded
+        wide = " ".join(["(a*)"] * (3 * MAX_NESTING_DEPTH))
+        assert isinstance(parse(wide, multi_char=True), Concat)
+
+    def test_postfix_outside_a_group_adds_to_its_depth(self):
+        inner = "a" + "*" * MAX_NESTING_DEPTH
+        with pytest.raises(RegexParseError):
+            parse("(" + inner + ")", multi_char=True)
+        with pytest.raises(RegexParseError):
+            parse("(" + inner[:-1] + ")**", multi_char=True)
+        assert parse("(" + inner[:-1] + ")", multi_char=True) is not None
+
+    @pytest.mark.parametrize("text", ["(" * 248 + "a" + ")" * 248, "a" + "*" * 3000])
+    def test_deep_inputs_are_typed_errors(self, text):
+        with pytest.raises(RegexParseError):
+            parse(text, multi_char=True)

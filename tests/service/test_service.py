@@ -193,6 +193,33 @@ def test_bad_requests_are_typed():
     run(scenario())
 
 
+def test_deeply_nested_rpq_is_a_bad_request_at_the_nesting_bound():
+    from repro.regex.parser import MAX_NESTING_DEPTH
+
+    async def scenario():
+        async with EmbeddedService({"g": small_store()}) as service:
+            for text in [
+                "(" * 248 + "p" + ")" * 248,
+                "p" + "*" * 3000,
+                "p" + "+" * 3000,
+                "(" * (MAX_NESTING_DEPTH + 1) + "p" + ")" * (MAX_NESTING_DEPTH + 1),
+                "p" + "*" * (MAX_NESTING_DEPTH + 1),
+            ]:
+                with pytest.raises(BadRequest, match="nests deeper"):
+                    await service.rpq("g", text)
+            for text in [
+                "(" * MAX_NESTING_DEPTH + "p" + ")" * MAX_NESTING_DEPTH,
+                "p" + "*" * MAX_NESTING_DEPTH,
+            ]:
+                expected = evaluate_rpq(
+                    small_store(), parse_regex(text, multi_char=True)
+                )
+                result = await service.rpq("g", text)
+                assert result["pairs"] == sorted(list(p) for p in expected)
+
+    run(scenario())
+
+
 def test_every_response_carries_the_request_id():
     async def scenario():
         async with EmbeddedService() as service:

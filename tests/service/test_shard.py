@@ -8,6 +8,8 @@ oracle fuzzes.
 
 import asyncio
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -318,6 +320,53 @@ def test_check_health_respawns_dead_workers(tmp_path):
         group.close()
 
 
+class _AlwaysBreaks:
+    """An attachment whose every call dies and that never stays marked
+    broken, so each call through it fails over."""
+
+    broken = property(lambda self: False, lambda self, value: None)
+
+    def call(self, fn, *args):
+        from concurrent.futures.process import BrokenProcessPool
+
+        raise BrokenProcessPool("injected")
+
+
+class _Answers:
+    broken = False
+
+    def call(self, fn, *args):
+        return fn(*args)
+
+
+def test_concurrent_failovers_are_all_counted(tmp_path):
+    store, _preds = random_store(triples=10)
+    shard_store(store, tmp_path / "g", shards=2)
+    group = ShardGroup(tmp_path / "g")
+    threads_n, calls = 8, 300
+    switch = sys.getswitchinterval()
+    real = group.workers[0]
+    try:
+        group.workers[0] = [_AlwaysBreaks(), _Answers()]
+        sys.setswitchinterval(1e-6)
+
+        def hammer():
+            for _ in range(calls):
+                assert group.call_shard(0, len, "ab") == 2
+
+        threads = [threading.Thread(target=hammer) for _ in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert group.failovers == threads_n * calls
+    finally:
+        sys.setswitchinterval(switch)
+        group.workers[0] = real
+        group.close()
+
+
 def test_group_stats_shape(tmp_path):
     store, _preds = random_store(triples=25)
     shard_store(store, tmp_path / "g", shards=3)
@@ -416,7 +465,7 @@ def test_battery_through_the_service_is_deployment_independent(tmp_path):
     run(scenario())
 
 
-# -- label-pruned, pipelined exchange -----------------------------------------
+# -- label-pruned exchange ----------------------------------------------------
 
 
 def skewed_store(shards: int = 3, hot: int = 120, cold: int = 12, seed: int = 3):
@@ -439,11 +488,7 @@ def skewed_store(shards: int = 3, hot: int = 120, cold: int = 12, seed: int = 3)
 
 
 def exchange_groups(path, **common):
-    return {
-        (lp, pipe): ShardGroup(path, pipelined=pipe, label_prune=lp, **common)
-        for lp in (False, True)
-        for pipe in (False, True)
-    }
+    return {lp: ShardGroup(path, label_prune=lp, **common) for lp in (False, True)}
 
 
 def test_pruned_and_unpruned_exchange_agree_and_pruning_cuts_payload(tmp_path):
@@ -458,14 +503,13 @@ def test_pruned_and_unpruned_exchange_agree_and_pruning_cuts_payload(tmp_path):
         ]
         for text in texts:
             expected = evaluate_rpq(store, parse_regex(text, multi_char=True))
-            for (lp, pipe), group in groups.items():
+            for lp, group in groups.items():
                 assert group.evaluate_walk(text, None, None) == expected, (
                     text,
                     lp,
-                    pipe,
                 )
-        pruned = groups[(True, False)]
-        unpruned = groups[(False, False)]
+        pruned = groups[True]
+        unpruned = groups[False]
         # identical workload, byte-identical accounting scheme: pruning
         # must strictly cut scatter payload on a skewed store and count
         # what a broadcast would have shipped
@@ -479,21 +523,18 @@ def test_pruned_and_unpruned_exchange_agree_and_pruning_cuts_payload(tmp_path):
             group.close()
 
 
-def test_pipelined_and_barrier_exchanges_are_deterministic(tmp_path):
+def test_barrier_exchange_is_deterministic(tmp_path):
     store, hot, colds = skewed_store(seed=9)
     shard_store(store, tmp_path / "g", shards=3)
-    barrier = ShardGroup(tmp_path / "g", pipelined=False)
-    pipelined = ShardGroup(tmp_path / "g", pipelined=True)
+    group = ShardGroup(tmp_path / "g")
     try:
         text = f"({hot} | {colds[0]} | {colds[1]})*"
         expected = evaluate_rpq(store, parse_regex(text, multi_char=True))
-        # completion order varies run to run; answers may not
+        # worker completion order varies run to run; answers may not
         for _ in range(3):
-            assert pipelined.evaluate_walk(text, None, None) == expected
-            assert barrier.evaluate_walk(text, None, None) == expected
+            assert group.evaluate_walk(text, None, None) == expected
     finally:
-        barrier.close()
-        pipelined.close()
+        group.close()
 
 
 def test_union_cache_is_fingerprint_keyed_with_bounded_capacity(tmp_path):
@@ -516,7 +557,7 @@ def test_union_cache_is_fingerprint_keyed_with_bounded_capacity(tmp_path):
 def test_exchange_pruning_survives_worker_death(tmp_path):
     store, hot, colds = skewed_store(seed=21)
     shard_store(store, tmp_path / "g", shards=3)
-    group = ShardGroup(tmp_path / "g", pipelined=True, label_prune=True)
+    group = ShardGroup(tmp_path / "g", label_prune=True)
     try:
         text = f"({hot} | {colds[0]})*"
         expected = evaluate_rpq(store, parse_regex(text, multi_char=True))
@@ -627,7 +668,6 @@ def test_exchange_counters_surface_through_stats_and_metrics(tmp_path):
             stats = await service.stats()
             shard_stats = stats["shards"]["g"]
             assert shard_stats["label_prune"] is True
-            assert shard_stats["pipelined"] is True
             assert shard_stats["scatter_bytes"] > 0
             assert shard_stats["gather_bytes"] > 0
             assert shard_stats["rounds"] > 0

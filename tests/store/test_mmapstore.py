@@ -284,7 +284,7 @@ class TestZeroCopyWorkers:
 class TestEngineCaches:
     def test_specialization_cache_is_per_store_identity(self, tmp_path):
         # one compiled plan, two different images: the engine's
-        # specialization cache (keyed on store identity + version) must
+        # resolution cache (keyed on store identity + version) must
         # not leak answers from one mapped store into the other
         first_store = build_store(seed=11, triples=60)
         second_store = build_store(seed=12, triples=60)
